@@ -81,6 +81,9 @@ void BM_SolveState(benchmark::State& state) {
   const auto kind = static_cast<irdrop::SolverKind>(state.range(0));
   const irdrop::IrAnalyzer analyzer(built.model, b.stack.dram_fp, b.stack.logic_fp, power, kind);
   const auto st = power::parse_memory_state("0-0-0-2", b.stack.dram_spec);
+  // One untimed solve first: it builds the rung's lazy state (the sparse
+  // factor), so the loop measures the steady-state solve a sweep repeats.
+  benchmark::DoNotOptimize(analyzer.analyze(st).dram_max_mv);
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyzer.analyze(st).dram_max_mv);
   }
@@ -104,11 +107,12 @@ void BM_FactorOnce(benchmark::State& state) {
   const linalg::Csr& g = solver.conductance_matrix();
   std::size_t nnz = 0;
   for (auto _ : state) {
-    const linalg::SparseCholesky chol(g, linalg::rcm_ordering(g));
+    const linalg::SparseCholesky chol(g, linalg::amd_ordering(g));
     nnz = chol.factor_nnz();
     benchmark::DoNotOptimize(nnz);
   }
-  state.SetLabel(std::to_string(g.dimension()) + " nodes, nnz(L)=" + std::to_string(nnz));
+  state.SetLabel("AMD order + factor, " + std::to_string(g.dimension()) +
+                 " nodes, nnz(L)=" + std::to_string(nnz));
 }
 BENCHMARK(BM_FactorOnce)->Unit(benchmark::kMillisecond);
 
@@ -117,7 +121,7 @@ void BM_TriangularSolveBatch(benchmark::State& state) {
   const auto built = pdn::build_stack(b.stack, b.baseline);
   const irdrop::IrSolver solver(built.model, irdrop::SolverKind::kPcgIc);
   const linalg::Csr& g = solver.conductance_matrix();
-  const linalg::SparseCholesky chol(g, linalg::rcm_ordering(g));
+  const linalg::SparseCholesky chol(g, linalg::amd_ordering(g));
   const auto count = static_cast<std::size_t>(state.range(0));
   const std::size_t n = g.dimension();
   std::vector<double> rhs(n * count, 0.0);
@@ -128,7 +132,7 @@ void BM_TriangularSolveBatch(benchmark::State& state) {
     chol.solve_batch(rhs, x, count, work);
     benchmark::DoNotOptimize(x.data());
   }
-  state.SetLabel(std::to_string(count) + " rhs");
+  state.SetLabel("AMD factor, " + std::to_string(count) + " rhs");
 }
 BENCHMARK(BM_TriangularSolveBatch)->Arg(1)->Arg(8)->Arg(32);
 

@@ -150,7 +150,13 @@ const linalg::SparseCholesky* IrSolver::sparse(std::string* error) const {
     try {
       linalg::SparseCholeskyOptions opts;
       opts.max_fill_ratio = options_.max_fill_ratio;
-      sparse_ = std::make_unique<linalg::SparseCholesky>(g_, linalg::rcm_ordering(g_), opts);
+      std::vector<std::size_t> perm;
+      {
+        PDN3D_TRACE_SPAN("solver/factor_order");
+        const util::ScopedTimer order_timer("solver.factor_order_seconds");
+        perm = linalg::amd_ordering(g_);
+      }
+      sparse_ = std::make_unique<linalg::SparseCholesky>(g_, std::move(perm), opts);
       m_builds.add(1);
       m_fill_ratio.set(sparse_->fill_ratio());
       m_factor_nnz.set(static_cast<double>(sparse_->factor_nnz()));

@@ -59,7 +59,7 @@ namespace pdn3d::irdrop {
 
 enum class SolverKind {
   kMacromodel,    ///< hierarchical Schur macromodels + Woodbury design deltas
-  kSparseDirect,  ///< RCM + sparse Cholesky: factor once, two sweeps per RHS
+  kSparseDirect,  ///< AMD + sparse Cholesky: factor once, two sweeps per RHS
   kPcgIc,         ///< IC(0)-preconditioned CG (default, fast)
   kPcgJacobi,     ///< Jacobi-preconditioned CG
   kBandedDirect,  ///< RCM + banded Cholesky: factor once, O(n*b) per state
@@ -120,7 +120,7 @@ struct IrSolverOptions {
   /// Fill guard for the sparse-direct factor: the factorization is declined
   /// (rung fails, ladder escalates) when nnz(L) would exceed this multiple of
   /// the lower triangle of G. The paper's 3D stack meshes factor at fill
-  /// 40-65 under RCM; the default admits them (see SparseCholeskyOptions).
+  /// 5.6-6.7 under AMD; the default admits them (see SparseCholeskyOptions).
   double max_fill_ratio = 96.0;
   /// Shared reuse context of the hierarchical macromodel rung (die-block
   /// cache + Woodbury base registry). Null = the rung builds private blocks

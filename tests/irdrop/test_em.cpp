@@ -16,6 +16,8 @@
 #include "core/benchmarks.hpp"
 #include "core/platform.hpp"
 #include "irdrop/analysis.hpp"
+#include "linalg/reorder.hpp"
+#include "linalg/sparse_chol.hpp"
 #include "pdn/stack_builder.hpp"
 
 namespace pdn3d::irdrop {
@@ -134,7 +136,10 @@ TEST(BlackMttf, GoldenValuesAndProperties) {
 
 // Full-pass goldens on the wide-io baseline at its default state. These pin
 // the branch-current recovery, the per-kind geometry, and the MTTF chain end
-// to end; any change here is a deliberate remodel, not drift.
+// to end; any change here is a deliberate remodel, not drift. On the small
+// TSV currents the solve's own rounding is about 1e-10 relative and moves
+// with the factor ordering, so there the 1e-10 pin records the production
+// path's rounding; WideIoMatchesRefinedSolve below checks the physics.
 TEST(EmCheck, WideIoGoldenNumbers) {
   const core::Platform p(core::make_benchmark(core::BenchmarkKind::kWideIo));
   const auto state = p.parse_state(p.benchmark().default_state, -1.0);
@@ -166,8 +171,8 @@ TEST(EmCheck, WideIoGoldenNumbers) {
   const auto* tsv = rep.find(pdn::ElementKind::kTsv);
   ASSERT_NE(tsv, nullptr);
   EXPECT_EQ(tsv->current.count, 640u);
-  near(tsv->current.max_amps, 0.0026414843964207885);
-  near(tsv->max_j_ma_cm2, 0.013452969561295363);
+  near(tsv->current.max_amps, 0.0026414843959231809);
+  near(tsv->max_j_ma_cm2, 0.013452969558761069);
 
   const auto* c4 = rep.find(pdn::ElementKind::kC4);
   ASSERT_NE(c4, nullptr);
@@ -181,6 +186,74 @@ TEST(EmCheck, WideIoGoldenNumbers) {
 
   // F2B bonding: no face-to-face via field in this stack.
   EXPECT_EQ(rep.find(pdn::ElementKind::kF2fVia), nullptr);
+}
+
+// Independent oracle for the goldens above: the same wide-io operating point
+// solved outside the solver ladder -- right-hand side assembled from the
+// model's taps and the analyzer's sinks, an RCM-ordered sparse factor (not
+// the production ordering), and three steps of iterative refinement with the
+// residual accumulated in long double, which brings the relative residual
+// to ~1e-15 (the production solve leaves ~1e-11). Whatever ordering or rung
+// produced them, the production figures must match the EM pass over the
+// refined voltages to 1e-9 relative.
+TEST(EmCheck, WideIoMatchesRefinedSolve) {
+  const core::Platform p(core::make_benchmark(core::BenchmarkKind::kWideIo));
+  const auto state = p.parse_state(p.benchmark().default_state, -1.0);
+  const IrAnalyzer& analyzer = p.analyzer(p.benchmark().baseline);
+  const pdn::StackModel& model = analyzer.model();
+  const linalg::Csr& g = analyzer.solver().conductance_matrix();
+  const std::size_t n = g.dimension();
+
+  std::vector<double> rhs(n, 0.0);
+  for (const auto& tap : model.taps()) rhs[tap.node] += model.vdd() / tap.ohms;
+  const std::vector<double> sinks = analyzer.injection(state);
+  for (std::size_t i = 0; i < n; ++i) rhs[i] -= sinks[i];
+
+  const linalg::SparseCholesky chol(g, linalg::rcm_ordering(g));
+  std::vector<double> v = chol.solve(rhs);
+  const auto rp = g.row_ptr();
+  const auto ci = g.col_idx();
+  const auto gv = g.values();
+  std::vector<double> r(n, 0.0);
+  double rel_residual = 1.0;
+  for (int step = 0; step <= 3; ++step) {
+    long double r_norm = 0.0L;
+    long double b_norm = 0.0L;
+    for (std::size_t i = 0; i < n; ++i) {
+      long double acc = rhs[i];
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
+        acc -= static_cast<long double>(gv[k]) * static_cast<long double>(v[ci[k]]);
+      }
+      r[i] = static_cast<double>(acc);
+      r_norm += acc * acc;
+      b_norm += static_cast<long double>(rhs[i]) * rhs[i];
+    }
+    rel_residual = static_cast<double>(std::sqrt(r_norm / b_norm));
+    if (step == 3) break;
+    const std::vector<double> dv = chol.solve(r);
+    for (std::size_t i = 0; i < n; ++i) v[i] += dv[i];
+  }
+  ASSERT_LT(rel_residual, 1e-14);
+
+  const auto oracle = em_check(model, p.benchmark().stack.tech, v);
+  const auto rep = p.em_check(p.benchmark().baseline, state);
+  const auto near = [](double actual, double expected, const char* what) {
+    EXPECT_NEAR(actual, expected, std::abs(expected) * 1e-9) << what;
+  };
+  for (const auto kind : {pdn::ElementKind::kTsv, pdn::ElementKind::kVia,
+                          pdn::ElementKind::kMesh}) {
+    const EmKindStats* want = oracle.find(kind);
+    const EmKindStats* got = rep.find(kind);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->current.count, want->current.count);
+    near(got->current.max_amps, want->current.max_amps, "max_amps");
+    near(got->max_j_ma_cm2, want->max_j_ma_cm2, "max_j_ma_cm2");
+    near(got->avg_j_ma_cm2, want->avg_j_ma_cm2, "avg_j_ma_cm2");
+    near(got->mttf_hours, want->mttf_hours, "mttf_hours");
+  }
+  near(rep.worst_utilization, oracle.worst_utilization, "worst_utilization");
+  near(rep.min_mttf_hours, oracle.min_mttf_hours, "min_mttf_hours");
 }
 
 // The request-level temperature override flows through to every MTTF.

@@ -84,22 +84,25 @@ TEST(SparseCholesky, MatchesDenseSolveOnGrid) {
 
 TEST(SparseCholesky, PropertyMatchesDenseOnRandomizedMeshes) {
   // The headline property test: across many randomized SPD conductance
-  // meshes, sparse Cholesky agrees with the dense reference to 1e-10.
+  // meshes, sparse Cholesky agrees with the dense reference to 1e-10 under
+  // both the production ordering (AMD) and RCM.
   util::Rng rng(2026);
   for (int trial = 0; trial < 12; ++trial) {
     const int nx = 4 + trial % 7;
     const int ny = 3 + (trial * 5) % 8;
     const Csr a = make_random_mesh(rng, nx, ny);
-    const SparseCholesky chol(a, rcm_ordering(a));
 
     std::vector<double> b(a.dimension(), 0.0);
     for (double& x : b) x = rng.next_double() * 2.0 - 1.0;
-
     const auto x_ref = dense_reference_solve(a, b);
-    const auto x = chol.solve(b);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_NEAR(x[i], x_ref[i], 1e-10)
-          << "trial " << trial << " (" << nx << "x" << ny << ") index " << i;
+
+    for (const bool amd : {true, false}) {
+      const SparseCholesky chol(a, amd ? amd_ordering(a) : rcm_ordering(a));
+      const auto x = chol.solve(b);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_NEAR(x[i], x_ref[i], 1e-10) << "trial " << trial << " (" << nx << "x" << ny
+                                           << ", " << (amd ? "AMD" : "RCM") << ") index " << i;
+      }
     }
   }
 }
