@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a pdn3d --report JSON file against run-report schema v8.
+"""Validate a pdn3d --report JSON file against run-report schema v9.
 
 Stdlib-only so it can run anywhere the repo builds. Exits 0 when the report
 conforms, 1 with a list of problems otherwise. The schema is documented in
@@ -23,6 +23,8 @@ v7 added the "macromodel" sub-object to "solver": hierarchical-tier reuse
 statistics (builds, reuses, woodbury_updates, fallbacks).
 v8 added the "em" sub-object to "solver": electromigration pass statistics
 (checks, violations, worst_utilization, min_mttf_hours).
+v9 removed the "macromodel" sub-object of "solver" and the "macromodel" keys
+of "rung_attempts"/"rung_failures" (the hierarchical solver tier was deleted).
 
 Usage: check_report_schema.py report.json [report2.json ...]
 """
@@ -31,7 +33,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 # key -> allowed python types for the documented top-level fields.
 TOP_LEVEL = {
@@ -75,7 +77,6 @@ SOLVER_KEYS = {
     "rung_attempts": dict,
     "rung_failures": dict,
     "factor": dict,
-    "macromodel": dict,
     "em": dict,
 }
 
@@ -87,12 +88,13 @@ FACTOR_KEYS = {
     "nnz": numbers.Number,
 }
 
-# v7: the hierarchical-tier block inside the solver block.
-MACROMODEL_KEYS = {
-    "builds": numbers.Number,
-    "reuses": numbers.Number,
-    "woodbury_updates": numbers.Number,
-    "fallbacks": numbers.Number,
+# v9: the ladder's rungs, the only keys of rung_attempts / rung_failures.
+RUNG_NAMES = {
+    "sparse-direct",
+    "ic-pcg",
+    "jacobi-pcg",
+    "banded-direct",
+    "dense-cholesky",
 }
 
 # v8: the electromigration block inside the solver block.
@@ -204,12 +206,14 @@ def check_report(report):
     check_block(errors, report["solver"], SOLVER_KEYS, "solver")
     if isinstance(report["solver"], dict) and isinstance(report["solver"].get("factor"), dict):
         check_block(errors, report["solver"]["factor"], FACTOR_KEYS, "solver.factor")
-    if isinstance(report["solver"], dict) and isinstance(
-        report["solver"].get("macromodel"), dict
-    ):
-        check_block(
-            errors, report["solver"]["macromodel"], MACROMODEL_KEYS, "solver.macromodel"
-        )
+    if isinstance(report["solver"], dict):
+        if "macromodel" in report["solver"]:
+            errors.append("solver: key 'macromodel' was removed in schema v9")
+        for block in ("rung_attempts", "rung_failures"):
+            rungs = report["solver"].get(block)
+            if isinstance(rungs, dict):
+                for name in sorted(set(rungs) - RUNG_NAMES):
+                    errors.append(f"solver.{block}: unknown rung {name!r}")
     if isinstance(report["solver"], dict) and isinstance(report["solver"].get("em"), dict):
         check_block(errors, report["solver"]["em"], EM_KEYS, "solver.em")
 

@@ -38,7 +38,10 @@ namespace pdn3d::obs {
 /// v8: added the "em" sub-object to the "solver" block (electromigration
 ///     pass statistics: checks, violations, worst_utilization,
 ///     min_mttf_hours).
-inline constexpr int kReportSchemaVersion = 8;
+/// v9: removed the "macromodel" sub-object of the "solver" block and the
+///     "macromodel" keys of "rung_attempts"/"rung_failures" (the hierarchical
+///     solver tier was deleted).
+inline constexpr int kReportSchemaVersion = 9;
 
 struct RunReportOptions {
   std::string command;            ///< CLI command ("analyze", "profile", ...)

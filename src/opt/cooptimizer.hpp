@@ -42,22 +42,7 @@ class Evaluator {
   /// instead of aborting the sweep.
   [[nodiscard]] virtual double measure(const pdn::PdnConfig& config) = 0;
 
-  /// Sweep announcement, called once (on the root evaluator, before any
-  /// fork) per batch of sibling design points: @p representative is the
-  /// batch's first config in deterministic enumeration order and
-  /// @p expected_points its size. Reuse-aware evaluators (PlatformEvaluator)
-  /// use it to prepare shared solver state -- e.g. the hierarchical tier's
-  /// Woodbury anchor -- so that the whole batch amortizes one build. The
-  /// default is a no-op; measurements must return the same values whether or
-  /// not the hint was delivered (it is a performance channel, not a
-  /// correctness one).
-  virtual void hint_sweep(const pdn::PdnConfig& representative, std::size_t expected_points) {
-    (void)representative;
-    (void)expected_points;
-  }
-
-  /// A sibling safe to run concurrently with this one. Forks inherit any
-  /// hint_sweep() state delivered to their parent.
+  /// A sibling safe to run concurrently with this one.
   [[nodiscard]] virtual std::unique_ptr<Evaluator> fork() const = 0;
 };
 

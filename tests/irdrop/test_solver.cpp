@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace pdn3d::irdrop {
 namespace {
@@ -209,13 +212,32 @@ TEST(IrSolver, EscalationLadderRecoversStarvedPcg) {
   EXPECT_GE(outcome.escalations, 2u);
   EXPECT_TRUE(outcome.kind_used == SolverKind::kBandedDirect ||
               outcome.kind_used == SolverKind::kDense);
-  EXPECT_EQ(solver.last_kind_used(), outcome.kind_used);
 
   // And the recovered answer matches an unstarved reference solve.
   const auto reference = solve_voltages(IrSolver(m), sinks);
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_NEAR(outcome.x[i], reference[i], 1e-8);
   }
+}
+
+TEST(IrSolver, EscalationIntoIcPcgBuildsTrackedPreconditionerOnce) {
+  // The sparse-direct start rung is declined by a fill guard no factor can
+  // meet, so IC-PCG answers; the IC(0) preconditioner it needs is built on
+  // the escalation, once, under the same timer as a construction-time build.
+  const auto m = starvable_mesh();
+  IrSolverOptions opts;
+  opts.max_fill_ratio = 1.0;
+  const IrSolver solver(m, SolverKind::kSparseDirect, opts);
+  auto& builds = obs::counter("solver.precond_build_seconds.count");
+  const std::uint64_t before = builds.value();
+  std::vector<double> sinks(m.node_count(), 0.01);
+  for (int i = 0; i < 2; ++i) {
+    const auto outcome = solver.solve(SolveRequest{.sinks = sinks});
+    ASSERT_TRUE(outcome.ok()) << outcome.status.to_string();
+    EXPECT_EQ(outcome.kind_used, SolverKind::kPcgIc);
+    EXPECT_EQ(outcome.escalations, 1u);
+  }
+  EXPECT_EQ(builds.value() - before, 1u);
 }
 
 TEST(IrSolver, EscalationCanBeDisabled) {
